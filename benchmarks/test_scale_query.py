@@ -5,8 +5,9 @@ lower): append throughput with the spill tier on versus the all-in-memory
 spine (acceptance: within 10% — sealing and demotion ride the off-path
 drain, not the emit hot path); the off-path seal/demote cost itself;
 then query latency through the per-segment indexes versus a flat filter
-over the full record stream, with the functional gate that index probes
-scan far fewer segments than the store holds.  Cross-tier identity
+over the full record stream, with the functional gates that index probes
+scan far fewer segments than the store holds and that selective queries
+rebuild at most twice as many cold records as they return.  Cross-tier identity
 (export, heads, receipts byte-equal hot or spilled) is asserted at a
 sub-scale where running an unspilled twin is cheap.  A machine-readable
 summary goes to ``BENCH_audit_query.json``.
@@ -177,6 +178,9 @@ def test_aqp_query_via_index_probes(report):
     # The needle actor lives in the earliest 1% of records: almost every
     # segment is ruled out by its index.
     assert stats.segments_scanned * 10 <= stats.segments_total
+    # Inside a scanned cold segment only the slots holding the needle
+    # are rebuilt: a count, so it gates at every scale.
+    assert stats.records_decoded <= 2 * len(needle)
     probes["actor_needle"] = {
         "hits": len(needle),
         "latency_ms": round(needle_s * 1e3, 2),
@@ -185,6 +189,7 @@ def test_aqp_query_via_index_probes(report):
         "segments_skipped": stats.segments_skipped,
         "cold_loads": stats.cold_loads,
         "records_scanned": stats.records_scanned,
+        "records_decoded": stats.records_decoded,
     }
 
     start = time.perf_counter()
@@ -192,11 +197,14 @@ def test_aqp_query_via_index_probes(report):
     rare_s = time.perf_counter() - start
     rare_stats = q.last_stats
     assert len(rare) == (QUERY_RECORDS + 999) // 1000
+    assert rare_stats.records_decoded <= 2 * len(rare)
     probes["tag_rare"] = {
         "hits": len(rare),
         "latency_ms": round(rare_s * 1e3, 2),
         "segments_total": rare_stats.segments_total,
         "segments_scanned": rare_stats.segments_scanned,
+        "records_scanned": rare_stats.records_scanned,
+        "records_decoded": rare_stats.records_decoded,
     }
 
     now = _state["sim"].now()

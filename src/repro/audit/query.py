@@ -51,8 +51,11 @@ class QueryStats:
         segments_scanned: sealed segments whose records were examined.
         segments_skipped: sealed segments the index ruled out.
         cold_loads: spill files read to answer this query.
-        records_scanned: records the filter predicate actually saw
-            (sealed scans plus the always-scanned open tails).
+        records_scanned: records the query covered — every record of
+            the scanned segments plus the always-scanned open tails,
+            including cold slots the needle prefilter never decoded.
+        records_decoded: cold spill slots rebuilt as
+            :class:`~repro.audit.records.AuditRecord` objects.
     """
 
     segments_total: int = 0
@@ -60,6 +63,7 @@ class QueryStats:
     segments_skipped: int = 0
     cold_loads: int = 0
     records_scanned: int = 0
+    records_decoded: int = 0
 
     def reset(self) -> None:
         self.segments_total = 0
@@ -67,6 +71,7 @@ class QueryStats:
         self.segments_skipped = 0
         self.cold_loads = 0
         self.records_scanned = 0
+        self.records_decoded = 0
 
 
 class AuditQuery:

@@ -85,7 +85,18 @@ def _context_json(ctx: SecurityContext) -> str:
 def _context_from_dict(body: Optional[Dict]) -> Optional[SecurityContext]:
     if body is None:
         return None
-    return SecurityContext.of(body.get("secrecy", ()), body.get("integrity", ()))
+    return _context_of(
+        tuple(body.get("secrecy", ())), tuple(body.get("integrity", ()))
+    )
+
+
+@lru_cache(maxsize=1024)
+def _context_of(secrecy: tuple, integrity: tuple) -> SecurityContext:
+    # The decode-side twin of _context_json: cold records repeat a
+    # handful of contexts, and rebuilding one parses every tag string.
+    # Contexts are immutable values over the append-only global
+    # interner, so sharing one object across records is safe.
+    return SecurityContext.of(secrecy, integrity)
 
 
 @lru_cache(maxsize=1024)

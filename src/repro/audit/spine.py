@@ -57,6 +57,7 @@ from repro.audit.storage import (  # noqa: F401  (AuditSegment re-exported)
     AuditSegment,
     SegmentStore,
     _segment_genesis,
+    query_needle,
 )
 from repro.audit.verify import VerifyStats
 from repro.errors import IntegrityViolation
@@ -655,7 +656,9 @@ class AuditSpine(RecorderMixin):
         first and scans only segments that *could* match — on a
         million-record chain a tag or actor query touches a handful of
         segments, and cold ones are loaded only when their index says
-        they matter.  ``entity`` matches actor or subject; ``tag`` is a
+        they matter.  Inside a cold segment only the slots holding the
+        filter's needle (:func:`~repro.audit.storage.query_needle`) are
+        decoded.  ``entity`` matches actor or subject; ``tag`` is a
         qualified ``"namespace:name"`` string matched against either
         recorded context.  Results are seq-ordered and identical to
         filtering the flat record stream (the property the test suite
@@ -665,6 +668,7 @@ class AuditSpine(RecorderMixin):
         with self._maint:
             self.drain()  # staged records are part of the stream
             kind_value = kind.value if kind is not None else None
+            needle = query_needle(kind_value, actor, subject, entity, tag)
             matched: List[AuditRecord] = []
             store = self._store
             for source in store.sources():
@@ -677,15 +681,19 @@ class AuditSpine(RecorderMixin):
                         if stats is not None:
                             stats.segments_skipped += 1
                         continue
-                    if stats is not None:
-                        stats.segments_scanned += 1
                     if chunk.is_cold:
+                        # Only slots holding the needle are rebuilt.
                         store.stats_cold_loads += 1
+                        records = chunk.candidates(needle)
                         if stats is not None:
                             stats.cold_loads += 1
-                    for record in chunk.records():
-                        if stats is not None:
-                            stats.records_scanned += 1
+                            stats.records_decoded += len(records)
+                    else:
+                        records = chunk.records()
+                    if stats is not None:
+                        stats.segments_scanned += 1
+                        stats.records_scanned += chunk.count
+                    for record in records:
                         if record_matches(
                             record, kind, actor, subject, entity, tag,
                             since, until,

@@ -42,8 +42,16 @@ On-disk record format (one file per sealed segment)::
         padding  zeros to stride
 
 Fixed stride means record ``i`` is one pointer computation away under
-``mmap`` — no scan to seek, which is what lets cold queries touch only
-the slots a segment index proved relevant.
+``mmap`` — no scan to seek.  Cold queries lean on that: inside a
+segment its index admitted, :meth:`SealedSegment.candidates` runs
+``mmap.find`` for the query's needle (:func:`query_needle`, the
+JSON-escaped text of its most selective string filter), maps each hit
+to its slot and rebuilds only those records.  A hit is a necessary
+condition, not a match (the bytes may sit in ``detail``), so
+``record_matches`` still decides every result.  Rebuilding is cheap
+because context decode is memoised (``records._context_of``).  Queries
+read cold files without verifying them; a slot they cannot decode
+raises :class:`~repro.errors.IntegrityViolation`.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.audit.log import chain_digest
-from repro.audit.records import AuditRecord, _context_tags
+from repro.audit.records import AuditRecord, _context_tags, _str_json
 from repro.audit.verify import VerifyStats
 from repro.errors import IntegrityViolation
 
@@ -463,14 +471,47 @@ def _parse_spill(blob, path: Path) -> Tuple[Dict, List[Tuple[str, str]]]:
             body = slot + _LEN.size + _DIGEST_BYTES
             entries.append((blob[body:body + length].decode(), digest))
         return header, entries
-    except (UnicodeDecodeError, ValueError, KeyError,
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError,
             struct.error) as exc:
-        # A doctored file can corrupt lengths, the header JSON or
-        # the canonical bytes themselves; every such failure is an
-        # integrity violation, not a crash.
+        # A doctored file can corrupt lengths, the header JSON (a
+        # non-integer stride or count) or the canonical bytes
+        # themselves; every such failure is an integrity violation,
+        # not a crash.
         raise IntegrityViolation(
             f"{path}: corrupt spill segment ({exc})"
         ) from exc
+
+
+def _needle_slots(mm, needle: bytes, data_start: int, end: int, stride: int):
+    """Indices of the slots in ``[data_start, end)`` whose bytes contain
+    ``needle``, each once, in order."""
+    pos = mm.find(needle, data_start, end)
+    while pos != -1:
+        i = (pos - data_start) // stride
+        yield i
+        pos = mm.find(needle, data_start + (i + 1) * stride, end)
+
+
+def query_needle(
+    kind_value: Optional[str] = None,
+    actor: Optional[str] = None,
+    subject: Optional[str] = None,
+    entity: Optional[str] = None,
+    tag: Optional[str] = None,
+) -> Optional[bytes]:
+    """The bytes every matching record's canonical must contain.
+
+    The JSON-escaped form of the most selective string filter — entity,
+    then actor, then subject, then tag, then kind — exactly as
+    ``AuditRecord.canonical()`` writes it (both go through
+    :func:`~repro.audit.records._str_json`, and a qualified tag in a
+    context list encodes the same way).  None when no string filter is
+    set.
+    """
+    for value in (entity, actor, subject, tag, kind_value):
+        if value is not None:
+            return _str_json(value).encode()
+    return None
 
 
 class SealedSegment:
@@ -568,10 +609,63 @@ class SealedSegment:
         from the spill file's verbatim canonicals when cold."""
         if self._records is not None:
             return list(self._records)
-        return [
-            AuditRecord.from_canonical(canonical)
-            for canonical, __ in self.entries()
-        ]
+        return self.candidates(None)
+
+    def candidates(self, needle: Optional[bytes]) -> List[AuditRecord]:
+        """Rebuild only the cold slots whose bytes contain ``needle``.
+
+        ``mmap.find`` runs over the slot region; each hit maps to its
+        fixed-stride slot, that slot alone is decoded, and the search
+        resumes at the next slot.  A hit is a necessary condition, not
+        a match (the needle may sit in ``detail``), so callers still
+        filter with ``record_matches``.  ``needle=None`` decodes every
+        slot.  Like :meth:`digest_at`, this trusts the on-disk stride
+        and does not verify the file; a slot it cannot decode raises
+        :class:`IntegrityViolation`.
+        """
+        data_start, stride = self._spill_layout()
+        end = data_start + self.count * stride
+        room = stride - _LEN.size - _DIGEST_BYTES
+        with open(self.path, "rb") as fh:
+            try:
+                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError as exc:  # an empty (truncated) file
+                raise IntegrityViolation(
+                    f"{self.path}: corrupt spill segment ({exc})"
+                ) from exc
+        with mm:
+            if len(mm) < end:
+                raise IntegrityViolation(
+                    f"{self.path}: truncated spill segment"
+                )
+            slots = (
+                range(self.count) if needle is None
+                else _needle_slots(mm, needle, data_start, end, stride)
+            )
+            records: List[AuditRecord] = []
+            for i in slots:
+                slot = data_start + i * stride
+                (length,) = _LEN.unpack_from(mm, slot)
+                if length > room:
+                    raise IntegrityViolation(
+                        f"{self.path}: slot {i} length {length} "
+                        f"overruns stride {stride}"
+                    )
+                body = slot + _LEN.size + _DIGEST_BYTES
+                try:
+                    record = AuditRecord.from_canonical(
+                        mm[body:body + length].decode()
+                    )
+                except (UnicodeDecodeError, ValueError, KeyError,
+                        TypeError, AttributeError) as exc:
+                    # Non-UTF-8 bytes, broken JSON, or JSON of the wrong
+                    # shape: a doctored slot, not a crash.
+                    raise IntegrityViolation(
+                        f"{self.path}: corrupt spill segment slot {i} "
+                        f"({exc})"
+                    ) from exc
+                records.append(record)
+        return records
 
     def digest_at(self, position: int) -> Optional[str]:
         """Chain digest at absolute ``position``.
@@ -607,10 +701,14 @@ class SealedSegment:
             raw = read_spill_header_bytes(self.path)
             try:
                 stride = json.loads(raw)["stride"]
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise IntegrityViolation(
                     f"{self.path}: corrupt spill segment ({exc})"
                 ) from exc
+            if type(stride) is not int or stride <= _LEN.size + _DIGEST_BYTES:
+                raise IntegrityViolation(
+                    f"{self.path}: corrupt spill segment (stride {stride!r})"
+                )
             data_start = _align16(len(SPILL_MAGIC) + _LEN.size + len(raw))
             self._layout = (data_start, stride)
         return self._layout

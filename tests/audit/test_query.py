@@ -135,56 +135,84 @@ class TestCompliancePortability:
 
 
 SOURCES = ["bus", "kernel"]
-ACTORS = ["alice", "bob", "carol"]
-SUBJECTS = ["hr-monitor", "dashboard"]
+#: Names chosen to trip a byte-level prefilter: JSON escapes (quote,
+#: backslash, non-ASCII), a slash, and names that prefix one another.
+#: Tag names cannot need escaping (the tag grammar is
+#: ``[a-zA-Z0-9_.-]+``), so the tags only prefix one another.
+ACTORS = ["alice", "bed-1", "bed-10", 'q"uote', "back\\slash", "n\u00efna"]
+SUBJECTS = ["hr-monitor", "ward/bed-1", "bed-1", "d\u00e9j\u00e0"]
 KINDS = [RecordKind.FLOW_ALLOWED, RecordKind.FLOW_DENIED]
-CTXS = [None, CTX, STATS_CTX]
+CTXS = [
+    None,
+    CTX,
+    STATS_CTX,
+    SecurityContext.of(["bed-1", "ward.bed-1"], ["bed-10"]),
+    SecurityContext.of(["bed-10", "ward:bed-1"], []),
+]
+TAGS = sorted(
+    {t.qualified for c in CTXS if c is not None
+     for t in (*c.secrecy, *c.integrity)}
+) + ["local:nowhere"]
+#: Text a record's ``detail`` may carry: every name a query can ask
+#: for, so a needle often hits a slot that must not match.
+MENTIONS = ACTORS + SUBJECTS + TAGS + [k.value for k in KINDS]
 
-ops = st.one_of(
-    st.tuples(
-        st.just("append"),
-        st.integers(0, len(SOURCES) - 1),
-        st.integers(0, len(KINDS) - 1),
-        st.integers(0, len(ACTORS) - 1),
-        st.integers(0, len(SUBJECTS) - 1),
-        st.integers(0, len(CTXS) - 1),
+append = st.tuples(
+    st.just("append"),
+    st.integers(0, len(SOURCES) - 1),
+    st.integers(0, len(KINDS) - 1),
+    st.integers(0, len(ACTORS) - 1),
+    st.integers(0, len(SUBJECTS) - 1),
+    st.integers(0, len(CTXS) - 1),
+    st.lists(st.sampled_from(MENTIONS), max_size=3),
+)
+# Every step appends, then maybe runs one maintenance op, so most
+# scripts seal and spill several segments.
+steps = st.tuples(
+    append,
+    st.one_of(
+        st.none(),
+        st.tuples(st.just("drain")),
+        st.tuples(st.just("advance"), st.integers(1, 5)),
+        st.tuples(st.just("prune"), st.integers(0, 30)),
+        st.tuples(st.just("demote"), st.integers(0, 30)),
     ),
-    st.tuples(st.just("drain")),
-    st.tuples(st.just("advance"), st.integers(1, 5)),
-    st.tuples(st.just("prune"), st.integers(0, 30)),
-    st.tuples(st.just("demote"), st.integers(0, 30)),
 )
 
-queries = st.one_of(
-    st.tuples(st.just("actor"), st.sampled_from(ACTORS)),
-    st.tuples(st.just("entity"), st.sampled_from(ACTORS + SUBJECTS)),
-    st.tuples(st.just("kind"), st.sampled_from(KINDS)),
-    st.tuples(st.just("tag"), st.sampled_from(
-        ["local:medical", "local:stats", "local:nowhere"]
-    )),
-    st.tuples(st.just("range"), st.integers(0, 40), st.integers(0, 40)),
+#: Every string filter the property asks after each script, so any cold
+#: slot an awkward name reaches is probed.
+NAME_PROBES = (
+    [dict(actor=a) for a in ACTORS]
+    + [dict(subject=s) for s in SUBJECTS]
+    + [dict(entity=e) for e in ACTORS + SUBJECTS]
+    + [dict(kind=k) for k in KINDS]
+    + [dict(tag=t) for t in TAGS]
 )
+windows = st.tuples(st.integers(0, 40), st.integers(0, 40))
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(ops, min_size=1, max_size=50),
-    st.lists(queries, min_size=1, max_size=4),
+    st.lists(steps, min_size=6, max_size=40),
+    st.lists(windows, min_size=1, max_size=4),
 )
-def test_tiered_query_equals_flat_filter(tmp_path_factory, script, probes):
+def test_tiered_query_equals_flat_filter(tmp_path_factory, script, spans):
     """The tiering property: whatever interleaving of append / drain /
     seal / spill / prune the spine went through, AuditQuery answers
-    exactly like filtering the flat record stream."""
+    exactly like filtering the flat record stream — including for names
+    that need JSON escaping, prefix one another, or appear only in a
+    record's ``detail`` (where the cold-tier needle scan hits slots the
+    predicate must still reject)."""
     spill = tmp_path_factory.mktemp("spill")
     sim = Simulator()
     spine = AuditSpine(clock=sim.now, name="audit@prop")
-    spine.configure_spill(spill, hot_segments=1, seal_every=4)
-    for op in script:
+    spine.configure_spill(spill, hot_segments=1, seal_every=2)
+    for op in (op for step in script for op in step if op is not None):
         if op[0] == "append":
-            __, s, k, a, sub, c = op
+            __, s, k, a, sub, c, mentions = op
             spine.emit(
                 SOURCES[s], KINDS[k], ACTORS[a], SUBJECTS[sub],
-                {"t": sim.now()}, CTXS[c], CTXS[c],
+                {"t": sim.now(), "mentions": mentions}, CTXS[c], CTXS[c],
             )
         elif op[0] == "drain":
             spine.drain()
@@ -196,18 +224,13 @@ def test_tiered_query_equals_flat_filter(tmp_path_factory, script, probes):
             spine.demote_before(float(op[1]))
     q = AuditQuery(spine)
     flat = list(spine)  # drains; the reference semantics
-    for probe in probes:
-        if probe[0] == "actor":
-            filters = dict(actor=probe[1])
-        elif probe[0] == "entity":
-            filters = dict(entity=probe[1])
-        elif probe[0] == "kind":
-            filters = dict(kind=probe[1])
-        elif probe[0] == "tag":
-            filters = dict(tag=probe[1])
-        else:
-            lo, hi = sorted((float(probe[1]), float(probe[2])))
-            filters = dict(since=lo, until=hi)
+    probes = NAME_PROBES + [
+        dict(since=float(lo), until=float(hi))
+        for lo, hi in map(sorted, spans)
+    ]
+    for filters in probes:
         expect = [r for r in flat if record_matches(r, **filters)]
         assert q.query(**filters) == expect
+        stats = q.last_stats
+        assert stats.records_decoded <= stats.records_scanned
     assert spine.verify()

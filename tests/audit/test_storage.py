@@ -2,9 +2,18 @@
 cold-tier verification (header + chain), pruning across tier
 boundaries, and hot/cold export identity (see docs/audit_storage.md)."""
 
+import json
+import struct
+
 import pytest
 
-from repro.audit import AuditRecord, AuditSpine, RecordKind, record_matches
+from repro.audit import (
+    AuditQuery,
+    AuditRecord,
+    AuditSpine,
+    RecordKind,
+    record_matches,
+)
 from repro.audit.storage import (
     SealedSegment,
     SegmentIndex,
@@ -342,6 +351,119 @@ class TestStoreDirectly:
         ):
             assert key in stats
         assert stats["spill_dir"] == str(tmp_path)
+
+
+class TestColdCandidateScan:
+    """Cold queries rebuild only the slots holding the filter's needle;
+    a doctored slot fails as an integrity violation, never a crash."""
+
+    def _cold(self, tmp_path):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=0, seal_every=8)
+        fill(sim, spine, 24)  # three cold segments, empty tail
+        assert spine.tier_stats()["cold_records"] == 24
+        return sim, spine, sorted(tmp_path.glob("*.seg"))[0]
+
+    @staticmethod
+    def _slot(path, i):
+        """The file bytes and the offset of slot ``i``."""
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        stride = json.loads(raw[12:12 + header_len])["stride"]
+        return raw, ((12 + header_len + 15) & ~15) + i * stride
+
+    def test_only_needle_slots_are_decoded(self, tmp_path):
+        __, spine, __ = self._cold(tmp_path)
+        q = AuditQuery(spine)
+        hits = q.by_actor("actor1")
+        assert hits == [r for r in spine if r.actor == "actor1"]
+        assert len(hits) == 6
+        assert q.last_stats.records_decoded == 6
+        assert q.last_stats.records_scanned == 24
+
+    def test_no_string_filter_decodes_every_slot(self, tmp_path):
+        __, spine, __ = self._cold(tmp_path)
+        q = AuditQuery(spine)
+        assert len(q.time_range(since=0.0)) == 24
+        assert q.last_stats.records_decoded == 24
+
+    def test_needle_only_in_detail_is_rejected(self, tmp_path):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=0, seal_every=4)
+        for i in range(8):
+            spine.emit("bus", RecordKind.FLOW_ALLOWED, f"actor{i % 2}",
+                       "subj", {"note": "actor1"}, CTX, CTX)
+        spine.drain()
+        q = AuditQuery(spine)
+        hits = q.by_actor("actor1")
+        assert [r.actor for r in hits] == ["actor1"] * 4
+        assert q.last_stats.records_decoded == 8  # every slot is a hit
+
+    def test_prefix_names_do_not_collide(self, tmp_path):
+        sim, spine = make_spine()
+        spine.configure_spill(tmp_path, hot_segments=0, seal_every=4)
+        for i in range(8):
+            actor = ("bed-1", "bed-10")[i % 2]
+            spine.emit("bus", RecordKind.FLOW_ALLOWED, actor, "subj", {},
+                       CTX, CTX)
+        spine.drain()
+        q = AuditQuery(spine)
+        assert [r.actor for r in q.by_actor("bed-1")] == ["bed-1"] * 4
+        assert q.last_stats.records_decoded == 4
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_bad_slot_length(self, tmp_path, warm):
+        __, spine, path = self._cold(tmp_path)
+        q = AuditQuery(spine)
+        if warm:
+            q.by_actor("actor1")  # caches the file layout
+        raw, slot = self._slot(path, 1)  # record 1: actor1
+        path.write_bytes(
+            raw[:slot] + struct.pack("<I", 0xFFFFFFFF) + raw[slot + 4:]
+        )
+        with pytest.raises(IntegrityViolation):
+            q.by_actor("actor1")
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_utf8_slot_body(self, tmp_path, warm):
+        __, spine, path = self._cold(tmp_path)
+        q = AuditQuery(spine)
+        if warm:
+            q.by_actor("actor1")
+        raw, slot = self._slot(path, 1)
+        body = slot + 4 + 64
+        assert raw[body:body + 4] == b'{"ac'
+        path.write_bytes(raw[:body] + b"\xa2" * 4 + raw[body + 4:])
+        with pytest.raises(IntegrityViolation):
+            q.by_actor("actor1")
+
+    @pytest.mark.parametrize("stride", [b'"x"', b"0  "])
+    def test_doctored_stride(self, tmp_path, stride):
+        __, spine, path = self._cold(tmp_path)
+        raw = path.read_bytes()
+        at = raw.index(b'"stride":') + len(b'"stride":')
+        assert raw[at:at + 3].isdigit()  # same length keeps the layout
+        path.write_bytes(raw[:at] + stride + raw[at + 3:])
+        with pytest.raises(IntegrityViolation):
+            AuditQuery(spine).by_actor("actor1")
+        assert not spine.verify()
+        with pytest.raises(IntegrityViolation):
+            spine.verify_strict(deep=True)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("keep", [0, 40, "mid"])
+    def test_truncated_file(self, tmp_path, warm, keep):
+        __, spine, path = self._cold(tmp_path)
+        q = AuditQuery(spine)
+        if warm:
+            q.by_actor("actor1")
+        raw, slot = self._slot(path, 3)
+        cut = slot + 20 if keep == "mid" else keep
+        path.write_bytes(raw[:cut])
+        with pytest.raises(IntegrityViolation):
+            q.by_actor("actor1")
+        with pytest.raises(IntegrityViolation):
+            q.time_range(since=0.0)  # the no-needle path too
 
 
 class TestSealedSegmentUnit:
