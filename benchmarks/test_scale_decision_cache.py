@@ -17,7 +17,8 @@ from typing import FrozenSet
 
 import pytest
 
-from repro.audit.log import AuditLog
+from repro.audit import AuditSpine
+from repro.audit.log import ReferenceChain
 from repro.ifc import DecisionPlane, Label, SecurityContext, flow_decision
 from repro.middleware.bus import MessageBus
 from repro.middleware.component import Component, EndpointKind
@@ -130,8 +131,7 @@ def test_sdc_repeated_pair_denial(report):
     assert ratio > 1.5
 
 
-def _fanout_bus(n_sinks, buffer_size):
-    audit = AuditLog(buffer_size=buffer_size)
+def _fanout_bus(n_sinks, audit):
     bus = MessageBus(audit=audit)
     reading = MessageType.simple("reading", value=float)
     ctx = SecurityContext.of(["medical"], [])
@@ -147,7 +147,9 @@ def _fanout_bus(n_sinks, buffer_size):
 
 
 def test_sdc_batched_vs_single_publish(report):
-    """Fan-out publish: publish() per message vs one publish_batch().
+    """Fan-out publish: publish() per message into the flat synchronous
+    chain vs one publish_batch() into a staged spine, drained at batch
+    end.
 
     Best-of-3 on each side; the hard assert is only a "batching must not
     be materially slower" tripwire — wall-clock ratios of two short runs
@@ -158,13 +160,17 @@ def test_sdc_batched_vs_single_publish(report):
 
     single_s = batch_s = float("inf")
     for __ in range(3):
-        bus_single, sensor_single, audit_single = _fanout_bus(n_sinks, buffer_size=0)
+        bus_single, sensor_single, audit_single = _fanout_bus(
+            n_sinks, ReferenceChain()
+        )
         start = time.perf_counter()
         for values in batch:
             bus_single.publish(sensor_single, "out", **values)
         single_s = min(single_s, time.perf_counter() - start)
 
-        bus_batch, sensor_batch, audit_batch = _fanout_bus(n_sinks, buffer_size=1024)
+        bus_batch, sensor_batch, audit_batch = _fanout_bus(
+            n_sinks, AuditSpine()
+        )
         start = time.perf_counter()
         rep = bus_batch.publish_batch(sensor_batch, "out", batch)
         batch_s = min(batch_s, time.perf_counter() - start)

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Mapping, Optional, Set
 
 from repro.accesscontrol.rbac import RBACPolicy, Role, Session
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import AccessDenied, FlowError
@@ -61,7 +61,7 @@ class EnforcementPoint:
         self,
         name: str,
         mode: EnforcementMode = EnforcementMode.AC_AND_IFC,
-        audit: Optional[AuditLog] = None,
+        audit: Optional[AuditSink] = None,
         plane: Optional[DecisionPlane] = None,
     ):
         self.name = name

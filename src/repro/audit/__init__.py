@@ -1,13 +1,14 @@
 """Audit, provenance and compliance (§8.3, Challenge 6, Fig. 11)."""
 
 from repro.audit.records import AuditRecord, RecordKind, record_matches, record_tags
-from repro.audit.log import GENESIS_DIGEST, AuditLog, RecorderMixin
+from repro.audit.log import GENESIS_DIGEST, RecorderMixin
 from repro.audit.storage import (
     SealedSegment,
     SegmentIndex,
     SegmentStore,
 )
 from repro.audit.spine import (
+    AuditLog,
     AuditSegment,
     AuditSpine,
     SpineEmitter,

@@ -4,14 +4,13 @@ Fig. 1's feedback loop: audit "verifies & influences" policy, and the
 infrastructure must "demonstrate compliance with regulation, and indicate
 whether policy correctly captures legal responsibilities".  This module
 turns an audit trail into evidence: obligation checkers scan any
-:class:`~repro.audit.sink.AuditSink` — a plain
-:class:`~repro.audit.log.AuditLog`, a whole
-:class:`~repro.audit.spine.AuditSpine` (tiered or not), or a bound
-emitter — and produce a structured :class:`ComplianceReport` suitable
-for a regulator or DPO.  Checkers pull records through the sink's
-``query()`` surface where it exists, so over a tiered spine they ride
-the per-segment indexes (``docs/audit_storage.md``) instead of
-iterating the full chain; the reports are identical either way.
+:class:`~repro.audit.sink.AuditSink` — a whole
+:class:`~repro.audit.spine.AuditSpine` (tiered or not, an
+:class:`~repro.audit.spine.AuditLog` included) or a bound emitter — and
+produce a structured :class:`ComplianceReport` suitable for a regulator
+or DPO.  Checkers pull records through the sink's ``query()`` surface,
+so over a tiered spine they ride the per-segment indexes
+(``docs/audit_storage.md``) instead of iterating the full chain.
 """
 
 from __future__ import annotations
@@ -20,17 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.audit.provenance import ProvenanceGraph, graph_from_log
-from repro.audit.records import AuditRecord, RecordKind
+from repro.audit.records import RecordKind
 from repro.audit.sink import AuditSink
 from repro.ifc.tags import Tag, as_tag
-
-
-def _query(sink: AuditSink, **filters) -> List[AuditRecord]:
-    """Pull records from any sink, index-backed when it supports it."""
-    query = getattr(sink, "query", None)
-    if callable(query):
-        return query(**filters)
-    return sink.records(**filters)
 
 
 @dataclass
@@ -135,7 +126,7 @@ def no_flows_to(
             tainted = graph.descendants(source)
             for sink in tainted & forbidden_sinks:
                 reached.append(f"{source} -> {sink}")
-        for record in _query(log, kind=RecordKind.FLOW_ALLOWED):
+        for record in log.query(kind=RecordKind.FLOW_ALLOWED):
             if record.subject in forbidden_sinks and record.actor in data_sources:
                 violations.append(record.seq)
         ok = not reached
@@ -163,10 +154,10 @@ def declassification_precedes_flows(
     def check(log: AuditSink, graph: ProvenanceGraph) -> Finding:
         declass_times = [
             r.timestamp
-            for r in _query(log, kind=RecordKind.DECLASSIFICATION, actor=declassifier)
+            for r in log.query(kind=RecordKind.DECLASSIFICATION, actor=declassifier)
         ]
         bad: List[int] = []
-        for record in _query(log, kind=RecordKind.FLOW_ALLOWED, actor=declassifier):
+        for record in log.query(kind=RecordKind.FLOW_ALLOWED, actor=declassifier):
             if record.subject != sink:
                 continue
             if not any(t <= record.timestamp for t in declass_times):
@@ -194,8 +185,8 @@ def denial_rate_below(threshold: float, obligation: str) -> ObligationChecker:
     responsibilities")."""
 
     def check(log: AuditSink, graph: ProvenanceGraph) -> Finding:
-        flows = _query(log, kind=RecordKind.FLOW_ALLOWED)
-        denials = _query(log, kind=RecordKind.FLOW_DENIED)
+        flows = log.query(kind=RecordKind.FLOW_ALLOWED)
+        denials = log.query(kind=RecordKind.FLOW_DENIED)
         total = len(flows) + len(denials)
         rate = (len(denials) / total) if total else 0.0
         ok = rate <= threshold
@@ -220,7 +211,7 @@ def all_accesses_consented(
 
     def check(log: AuditSink, graph: ProvenanceGraph) -> Finding:
         bad: List[int] = []
-        for record in _query(log, kind=RecordKind.FLOW_ALLOWED):
+        for record in log.query(kind=RecordKind.FLOW_ALLOWED):
             src = record.source_context
             if src is None:
                 continue

@@ -38,15 +38,13 @@ class OffloadReceipt:
 
     Attributes:
         domain: the contributing administrative domain.
-        head_digest: digest of the last record accepted — for a
-            segmented spine this is the checkpoint-chain head, which
-            itself folds every segment head.
+        head_digest: the submitted spine's checkpoint-chain head,
+            which folds every segment head.
         record_count: how many records the segment held.
         collector_signature: simulated signature binding the receipt.
-        segment_heads: for segmented (spine) logs, the per-source
-            ``(source, head digest)`` pairs the receipt covers, so a
-            domain pruning one segment can still point at the receipt
-            that attested it.
+        segment_heads: the per-source ``(source, head digest)`` pairs
+            the receipt covers, so a domain pruning one segment can
+            still point at the receipt that attested it.
         cold_segments: how many of the contributing sink's sealed
             segments were in the cold (spilled) tier at submission —
             the receipt attests that verification crossed the tier
@@ -295,10 +293,9 @@ class FederationPinboard:
             if not by_pos:
                 verdicts[domain] = "unpinned"
                 continue
-            # head_digest (a property read) forces the live spine to
-            # checkpoint anything still staged, so the comparison is
-            # against its *current* committed history.
-            getattr(spine, "head_digest", None)
+            # Checkpoint anything still staged, so the comparison is
+            # against the live spine's *current* committed history.
+            spine.checkpoint()
             verdict = None
             checked = 0
             for position in sorted(by_pos):
@@ -318,14 +315,8 @@ class FederationPinboard:
             if mode is not None and verdict not in (
                 "tampered", "truncated"
             ):
-                verify_fn = getattr(spine, "verify", None)
-                if callable(verify_fn):
-                    try:
-                        clean = verify_fn(mode=mode, workers=workers)
-                    except TypeError:
-                        clean = verify_fn()
-                    if not clean:
-                        verdict = "tampered"
+                if not spine.verify(mode=mode, workers=workers):
+                    verdict = "tampered"
             verdicts[domain] = verdict
         return verdicts
 
@@ -350,8 +341,8 @@ class AuditGap:
 class AuditCollector:
     """Aggregates logs from many administrative domains.
 
-    Each domain submits its :class:`AuditLog`; the collector verifies the
-    hash chain before accepting, records an :class:`OffloadReceipt`, and
+    Each domain submits its audit spine; the collector verifies every
+    chain before accepting, records an :class:`OffloadReceipt`, and
     exposes a merged, time-ordered record stream for cross-domain
     forensics (the end-to-end view no single domain holds).
     """
@@ -387,44 +378,28 @@ class AuditCollector:
         """Accept a domain's log if its chain verifies.
 
         Returns a receipt on acceptance, None on rejection.  Repeated
-        submissions from the same domain extend its segment.  Segmented
-        logs (an :class:`~repro.audit.spine.AuditSpine`) are accepted
-        the same way: verification covers every segment plus the
-        checkpoint chain, and the receipt is taken over the segment
-        heads (via a fresh checkpoint) rather than a single linear
-        chain's head.  Verification runs in the collector's
+        submissions from the same domain extend its segment.
+        Verification covers every segment plus the checkpoint chain, and
+        the receipt is taken over the segment heads (via a fresh
+        checkpoint).  Verification runs in the collector's
         :attr:`verify_mode` — watermark-aware by default, so a domain
         re-submitting a mostly-cold spine costs O(new records), not
         O(history).
         """
-        try:
-            accepted = log.verify(
-                mode=self.verify_mode, workers=self.verify_workers
-            )
-        except TypeError:
-            # A duck-typed sink predating the verification plane.
-            accepted = log.verify()
-        if not accepted:
+        if not log.verify(mode=self.verify_mode, workers=self.verify_workers):
             self._rejected.add(domain)
             return None
-        segment_heads: Tuple[Tuple[str, str], ...] = ()
-        heads_fn = getattr(log, "segment_heads", None)
-        if callable(heads_fn):
-            # A fresh checkpoint binds every segment head into the
-            # head_digest the receipt signs (no-op if already current).
-            log.checkpoint()
-            segment_heads = tuple(
-                (source, head) for source, (__, head) in sorted(heads_fn().items())
-            )
-        actors_fn = getattr(log, "known_actors", None)
-        if callable(actors_fn):
-            self._known_reporters.update(actors_fn())
+        # A fresh checkpoint binds every segment head into the
+        # head_digest the receipt signs (no-op if already current).
+        log.checkpoint()
+        segment_heads = tuple(
+            (source, head)
+            for source, (__, head) in sorted(log.segment_heads().items())
+        )
+        self._known_reporters.update(log.known_actors())
         # Tier-aware: a tiered spine's verify() above already replayed
         # cold spill files; the receipt records how many it crossed.
-        cold_segments = 0
-        tier_fn = getattr(log, "tier_stats", None)
-        if callable(tier_fn):
-            cold_segments = tier_fn().get("cold_segments", 0)
+        cold_segments = log.tier_stats()["cold_segments"]
         records = list(log)
         self._segments.setdefault(domain, []).extend(records)
         receipt = OffloadReceipt.sign(

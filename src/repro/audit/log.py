@@ -1,22 +1,28 @@
-"""Tamper-evident, append-only audit log.
+"""Hash-chain primitives and the flat reference chain.
 
 The paper requires audit to "demonstrate compliance and aid
 accountability" (§5.2) and notes logs "can be made more trustworthy by,
 for example, using hardware cryptographic support" (§8.3, citing BBox).
-We implement the standard hash-chain construction: each record's digest
-covers its canonical serialisation plus the previous digest, so
-truncation or in-place modification is detectable by
-:meth:`AuditLog.verify`.  Challenge 6 asks "when can logs safely be
-pruned?" — :meth:`AuditLog.prune_before` retains a verifiable checkpoint
-digest so the remaining suffix still authenticates.
+The construction is the standard hash chain: each record's digest
+covers its canonical serialisation plus the previous digest
+(:func:`chain_digest`, rooted at :data:`GENESIS_DIGEST`), so truncation
+or in-place modification is detectable.
+
+The one audit writer built on these primitives is the
+:class:`~repro.audit.spine.AuditSpine` (and
+:class:`~repro.audit.spine.AuditLog`, its synchronous configuration).
+:class:`RecorderMixin` gives every writer the domain recording
+vocabulary.  :class:`ReferenceChain` is the minimal flat synchronous
+chain the test suite and benchmarks hold the spine against; it is not
+exported from :mod:`repro.audit` and no library module uses it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.audit.records import AuditRecord, RecordKind, record_matches
+from repro.audit.records import AuditRecord, RecordKind
 from repro.errors import IntegrityViolation
 from repro.ifc.labels import SecurityContext
 
@@ -35,9 +41,10 @@ class RecorderMixin:
     """Convenience appenders shared by every audit writer.
 
     Anything exposing ``append(kind, actor, subject, detail,
-    source_context, target_context)`` — :class:`AuditLog`, the
-    :class:`~repro.audit.spine.AuditSpine` and its per-source emitters —
-    gets the domain-specific recording vocabulary from here.
+    source_context, target_context)`` — the
+    :class:`~repro.audit.spine.AuditSpine`, its per-source emitters and
+    the :class:`ReferenceChain` — gets the domain-specific recording
+    vocabulary from here.
     """
 
     def flow_allowed(
@@ -96,53 +103,29 @@ class RecorderMixin:
         return self.append(RecordKind.RECONFIGURATION, actor, target, merged)
 
 
-class AuditLog(RecorderMixin):
-    """Append-only log of :class:`AuditRecord` with a SHA-256 hash chain.
+class ReferenceChain(RecorderMixin):
+    """The flat synchronous hash chain: one list, one digest per append.
 
-    The log is the universal observer: kernels, substrates, channels,
-    policy engines and gateways all append here.  A ``clock`` callable
-    supplies timestamps (wire it to the simulator for deterministic
-    runs).
-
-    ``buffer_size`` enables the buffered writer used by batched
-    workloads: records are appended immediately (they are visible to
-    ``records()``/iteration right away) but their chain digests are
-    computed lazily, in chunks, once ``buffer_size`` records are pending
-    or on an explicit :meth:`flush`.  Everything that *observes* the
-    chain — :attr:`head_digest`, :meth:`verify`, :meth:`export`,
-    :meth:`prune_before` — flushes first, so the chain construction and
-    the ``verify()`` result are byte-identical to an unbuffered log with
-    the same records.  Each record's digest material (its canonical
-    serialisation) is snapshotted *at append time*, so the chain always
-    reflects what was appended: a still-pending record mutated in memory
-    before its first flush is chained as appended and the mutation is
-    detected by :meth:`verify`, exactly as in unbuffered mode.
+    The reference semantics the spine is checked against (the spine ≡
+    flat-chain property tests) and the synchronous baseline the audit
+    benchmarks time staged emission against.  Each append builds the
+    record, serialises it and extends the chain before returning.  It
+    has no segments, staging, checkpoints or tiers; :meth:`flush` is a
+    no-op so a bus's ``publish_batch`` can call it.
 
     Example::
 
-        log = AuditLog(clock=sim.now)
-        log.flow_allowed("sensor", "analyser", src_ctx, dst_ctx)
-        assert log.verify()
+        chain = ReferenceChain(clock=sim.now)
+        chain.flow_allowed("sensor", "analyser", src_ctx, dst_ctx)
+        assert chain.verify()
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        name: str = "audit",
-        buffer_size: int = 0,
-    ):
-        self.name = name
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self._records: List[AuditRecord] = []
         self._digests: List[str] = []
-        # Canonical serialisations of records not yet folded into the
-        # chain, snapshotted at append time (see the class docstring).
-        self._pending_canonicals: List[str] = []
         self._base_digest = GENESIS_DIGEST
         self._base_seq = 0
-        self.buffer_size = buffer_size
-
-    # -- core append/verify ------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._records)
@@ -151,14 +134,8 @@ class AuditLog(RecorderMixin):
         return iter(self._records)
 
     @property
-    def pending(self) -> int:
-        """Records appended but not yet folded into the hash chain."""
-        return len(self._records) - len(self._digests)
-
-    @property
     def head_digest(self) -> str:
-        """Digest of the most recent record (genesis digest when empty)."""
-        self.flush()
+        """Digest of the most recent record (the base when empty)."""
         return self._digests[-1] if self._digests else self._base_digest
 
     def append(
@@ -170,11 +147,7 @@ class AuditLog(RecorderMixin):
         source_context: Optional[SecurityContext] = None,
         target_context: Optional[SecurityContext] = None,
     ) -> AuditRecord:
-        """Append one record, extending the hash chain.
-
-        In buffered mode the chain extension is deferred; see
-        :meth:`flush`.
-        """
+        """Append one record and extend the hash chain over it."""
         record = AuditRecord(
             seq=self._base_seq + len(self._records),
             timestamp=self._clock(),
@@ -186,150 +159,38 @@ class AuditLog(RecorderMixin):
             target_context=target_context,
         )
         self._records.append(record)
-        self._pending_canonicals.append(record.canonical())
-        if self.buffer_size <= 0 or self.pending >= self.buffer_size:
-            self.flush()
+        self._digests.append(chain_digest(self.head_digest, record.canonical()))
         return record
 
     def flush(self) -> int:
-        """Fold all pending records into the hash chain, in one chunk.
+        """Nothing is ever deferred; always 0."""
+        return 0
 
-        Returns the number of records whose digests were computed.
-        Idempotent; a no-op on an unbuffered or already-flushed log.
-        The chain is built from the canonical serialisations captured at
-        append time, not from the records' current in-memory state.
-        """
-        pending = self._pending_canonicals
-        if not pending:
-            return 0
-        digests = self._digests
-        digest = digests[-1] if digests else self._base_digest
-        for canonical in pending:
-            digest = chain_digest(digest, canonical)
-            digests.append(digest)
-        flushed = len(pending)
-        pending.clear()
-        return flushed
-
-    def verify(
-        self,
-        mode: str = "deep",
-        workers: Optional[int] = None,
-    ) -> bool:
-        """Recompute the whole chain; True iff untampered.
-
-        Raises nothing — audit tooling wants a boolean; use
-        :meth:`verify_strict` to get the failing position.
-
-        ``mode`` and ``workers`` exist for :class:`AuditSink` signature
-        compatibility with the spine's verification plane; a flat log is
-        one unsegmented in-memory chain, so every call is a full serial
-        recompute regardless (there are no immutable cold segments to
-        watermark or fan out).
-        """
-        if mode not in ("incremental", "deep"):
-            raise ValueError(
-                f"verification mode must be 'incremental' or 'deep', "
-                f"got {mode!r}"
-            )
+    def verify(self) -> bool:
+        """Recompute the whole chain; True iff untampered."""
         try:
             self.verify_strict()
             return True
         except IntegrityViolation:
             return False
 
-    def verify_strict(
-        self,
-        deep: bool = True,
-        workers: Optional[int] = None,
-    ) -> None:
-        """Recompute the chain, raising on the first mismatch.
-
-        ``deep`` and ``workers`` are accepted for signature parity with
-        :meth:`~repro.audit.spine.AuditSpine.verify_strict` and ignored:
-        a flat log always recomputes everything.
-        """
-        self.flush()
+    def verify_strict(self) -> None:
+        """Recompute the chain, raising on the first mismatch."""
         digest = self._base_digest
-        for i, record in enumerate(self._records):
+        for record, expected in zip(self._records, self._digests):
             digest = chain_digest(digest, record.canonical())
-            if digest != self._digests[i]:
+            if digest != expected:
                 raise IntegrityViolation(
                     f"audit chain broken at seq {record.seq}"
                 )
-
-    # -- query & maintenance -------------------------------------------------
-
-    def records(
-        self,
-        kind: Optional[RecordKind] = None,
-        actor: Optional[str] = None,
-        subject: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[AuditRecord]:
-        """Filter records by kind / actor / subject / time window."""
-        result = []
-        for r in self._records:
-            if kind is not None and r.kind != kind:
-                continue
-            if actor is not None and r.actor != actor:
-                continue
-            if subject is not None and r.subject != subject:
-                continue
-            if since is not None and r.timestamp < since:
-                continue
-            if until is not None and r.timestamp > until:
-                continue
-            result.append(r)
-        return result
-
-    def denials(self) -> List[AuditRecord]:
-        """All denied flows/accesses — the compliance hot list."""
-        return [r for r in self._records if r.is_denial]
-
-    def query(
-        self,
-        kind: Optional[RecordKind] = None,
-        actor: Optional[str] = None,
-        subject: Optional[str] = None,
-        entity: Optional[str] = None,
-        tag: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        stats=None,
-    ) -> List[AuditRecord]:
-        """Filtered query with the full audit-plane vocabulary.
-
-        The flat-scan implementation of the :class:`~repro.audit.sink.
-        AuditSink` ``query()`` surface: same
-        :func:`~repro.audit.records.record_matches` predicate — and
-        therefore the same results — as a tiered spine's index-backed
-        query, minus the index short-circuit (a plain log has no sealed
-        segments to skip).  ``entity`` matches actor or subject;
-        ``tag`` is a qualified ``"namespace:name"`` string matched
-        against either recorded context.
-        """
-        matched = []
-        for record in self._records:
-            if stats is not None:
-                stats.records_scanned += 1
-            if record_matches(
-                record, kind, actor, subject, entity, tag, since, until
-            ):
-                matched.append(record)
-        return matched
 
     def prune_before(self, timestamp: float) -> int:
         """Discard records older than ``timestamp`` (Challenge 6).
 
         The digest of the last pruned record becomes the new chain base,
-        so the retained suffix still verifies; auditors holding the old
-        head digest can still authenticate continuity.  Returns the
-        number of records pruned.  Buffered appends are flushed first so
-        the new chain base is always a real, computed digest.
+        so the retained suffix still verifies.  Returns the number of
+        records pruned.
         """
-        self.flush()
         keep_from = 0
         while (
             keep_from < len(self._records)
@@ -343,13 +204,3 @@ class AuditLog(RecorderMixin):
         self._records = self._records[keep_from:]
         self._digests = self._digests[keep_from:]
         return keep_from
-
-    def export(self) -> List[Dict]:
-        """Serialise records (with digests) for offload to another party
-        (Challenge 6: "can logs be offloaded to others for distributed
-        audit?")."""
-        self.flush()
-        return [
-            {"record": r.canonical(), "digest": d}
-            for r, d in zip(self._records, self._digests)
-        ]

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.records import AuditRecord, RecordKind
 
 
@@ -182,7 +182,7 @@ class ProvenanceGraph:
         }
 
 
-def graph_from_log(log: AuditLog) -> ProvenanceGraph:
+def graph_from_log(log: AuditSink) -> ProvenanceGraph:
     """Build a provenance graph from an IFC audit log (§8.3).
 
     Allowed flows become FLOW edges; declassification/endorsement become

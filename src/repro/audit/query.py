@@ -6,17 +6,11 @@ touched tag ``medical:ann`` this hour" is the question compliance,
 forensics and policy-feedback tooling actually ask, and a million-record
 chain cannot answer it by iterating the whole stream.
 
-:class:`AuditQuery` wraps any :class:`~repro.audit.sink.AuditSink`:
-
-* over a tiered :class:`~repro.audit.spine.AuditSpine` it rides the
-  sink's own index-backed ``query()`` — per-segment
-  :class:`~repro.audit.storage.SegmentIndex` probes decide which sealed
-  segments to scan, so cold spill files are loaded only when their
-  index says they can match;
-* over a plain :class:`~repro.audit.log.AuditLog` (or any sink without
-  a ``query`` method) it falls back to a flat scan with the same
-  :func:`~repro.audit.records.record_matches` predicate — identical
-  results, just without the index short-circuit.
+:class:`AuditQuery` wraps any :class:`~repro.audit.sink.AuditSink` and
+rides the spine's own index-backed ``query()``: per-segment
+:class:`~repro.audit.storage.SegmentIndex` probes decide which sealed
+segments to scan, so cold spill files are loaded only when their index
+says they can match.
 
 Every call fills :attr:`AuditQuery.last_stats` with a
 :class:`QueryStats` (segments probed / scanned / skipped, cold loads,
@@ -37,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.audit.records import AuditRecord, RecordKind, record_matches
+from repro.audit.records import AuditRecord, RecordKind
+from repro.audit.sink import AuditSink
 
 __all__ = ["AuditQuery", "QueryStats"]
 
@@ -75,7 +70,7 @@ class QueryStats:
 
 
 class AuditQuery:
-    """Query façade over any audit sink, tiered or flat.
+    """Query façade over any audit sink, tiered or not.
 
     The filter vocabulary is :func:`~repro.audit.records.record_matches`:
     ``kind`` / ``actor`` / ``subject`` / ``entity`` (actor *or*
@@ -85,13 +80,13 @@ class AuditQuery:
     *not* to read.
     """
 
-    def __init__(self, sink):
+    def __init__(self, sink: AuditSink):
         self.sink = sink
         #: Accounting for the most recent query (reset per call).
         self.last_stats = QueryStats()
 
     def __repr__(self) -> str:
-        return f"<AuditQuery over {getattr(self.sink, 'name', self.sink)!r}>"
+        return f"<AuditQuery over {self.sink.name!r}>"
 
     def query(
         self,
@@ -105,25 +100,10 @@ class AuditQuery:
     ) -> List[AuditRecord]:
         """Run one filtered query (see the class docstring)."""
         self.last_stats = stats = QueryStats()
-        native = getattr(self.sink, "query", None)
-        if callable(native):
-            return native(
-                kind=kind, actor=actor, subject=subject, entity=entity,
-                tag=tag, since=since, until=until, stats=stats,
-            )
-        # Flat fallback: any sink is at least iterable.
-        flush = getattr(self.sink, "flush", None)
-        if callable(flush):
-            flush()
-        matched = []
-        for record in self.sink:
-            stats.records_scanned += 1
-            if record_matches(
-                record, kind, actor, subject, entity, tag, since, until
-            ):
-                matched.append(record)
-        matched.sort(key=lambda r: r.seq)
-        return matched
+        return self.sink.query(
+            kind=kind, actor=actor, subject=subject, entity=entity,
+            tag=tag, since=since, until=until, stats=stats,
+        )
 
     # -- the convenience vocabulary ----------------------------------------
 

@@ -30,17 +30,17 @@ Tamper-evidence window: records become tamper-evident when drained into
 their segment, so the drain cadence (ring capacity / clock ticks) bounds
 the window in which an in-memory mutation would be chained as mutated.
 This is the deliberate trade the spine makes for taking hashing off the
-delivery path; a plain unbuffered :class:`~repro.audit.log.AuditLog`
-keeps the append-time guarantee where that matters more than
-throughput.
+delivery path.  :class:`AuditLog` is the spine with ``ring_capacity=1``:
+every append drains at once, so it keeps the append-time guarantee where
+that matters more than throughput (standalone domains, tests, examples).
 
-The spine is read-compatible with :class:`~repro.audit.log.AuditLog`
-(``records()`` / ``denials()`` / iteration / ``verify()`` /
-``export()`` / ``prune_before()`` / ``head_digest``), so provenance,
-compliance and distributed-audit tooling consume either.  Checkpoint
-records live on their own chain and never appear in the record stream —
-a spine and a plain log fed the same events yield order-identical
-streams.
+The spine is the only audit writer: provenance, compliance, query and
+distributed-audit tooling all read it (``records()`` / ``query()`` /
+``denials()`` / iteration / ``verify()`` / ``export()`` /
+``prune_before()`` / ``head_digest``).  Checkpoint records live on their
+own chain and never appear in the record stream — a spine and the flat
+:class:`~repro.audit.log.ReferenceChain` fed the same events yield
+order-identical streams.
 """
 
 from __future__ import annotations
@@ -63,19 +63,18 @@ from repro.audit.verify import VerifyStats
 from repro.errors import IntegrityViolation
 from repro.ifc.labels import SecurityContext
 
-#: Source name used by :meth:`AuditSpine.append` (the AuditLog-compatible
-#: direct writer) when the caller has not bound a per-source emitter.
+#: Source name used by :meth:`AuditSpine.append` (the direct writer)
+#: when the caller has not bound a per-source emitter.
 DEFAULT_SOURCE = "main"
 
 
 class SpineEmitter(RecorderMixin):
     """A per-source write handle onto an :class:`AuditSpine`.
 
-    Enforcement sites hold one of these instead of an ``AuditLog``:
+    Enforcement sites hold one of these instead of the whole spine:
     writes stage into the spine under this emitter's source (the
     segment shard), reads and maintenance delegate to the whole spine —
-    so an emitter is a drop-in for the ``AuditLog`` API everywhere one
-    is consumed.
+    so an emitter is accepted everywhere a spine is consumed.
     """
 
     __slots__ = ("spine", "source")
@@ -89,7 +88,7 @@ class SpineEmitter(RecorderMixin):
 
     @property
     def name(self) -> str:
-        """The backing spine's name (AuditSink-compatible identity)."""
+        """The backing spine's name."""
         return self.spine.name
 
     # -- writes (staged under this source) ---------------------------------
@@ -118,7 +117,7 @@ class SpineEmitter(RecorderMixin):
         return iter(self.spine)
 
     def flush(self) -> int:
-        """Drain the spine (AuditLog-compatible spelling)."""
+        """Drain the spine (see :meth:`AuditSpine.flush`)."""
         return self.spine.drain()
 
     @property
@@ -199,8 +198,8 @@ def bind_source(audit, source: str):
     * a :class:`SpineEmitter` is re-bound to ``source`` on its spine
       (components compose: a bus hands its sink to its channels, each
       layer claiming its own segment);
-    * anything else (a plain :class:`~repro.audit.log.AuditLog`) is
-      returned unchanged — the owner chose synchronous semantics.
+    * anything else (the flat :class:`~repro.audit.log.ReferenceChain`
+      the benchmarks time against) is returned unchanged.
 
     This is the only audit-plumbing call enforcement sites make; none of
     them construct chain digests or choose chaining policy themselves.
@@ -231,8 +230,7 @@ class AuditSpine(RecorderMixin):
     ``checkpoint_every`` sets how many fruitful drains pass between
     automatic checkpoints; anything that needs the cross-segment head
     (``head_digest``, offload) forces one.  Staged records are
-    immediately visible to ``records()`` / iteration, exactly like
-    buffered ``AuditLog`` appends.
+    immediately visible to ``records()`` / iteration.
 
     Concurrency (``docs/worker_plane.md``): emission and maintenance
     may race.  Each source stages into its *own* ring (per-worker
@@ -312,20 +310,9 @@ class AuditSpine(RecorderMixin):
 
     def __repr__(self) -> str:
         return (
-            f"<AuditSpine {self.name} segments={len(self._store.tails)} "
+            f"<{type(self).__name__} {self.name} segments={len(self._store.tails)} "
             f"records={len(self)} staged={self.pending}>"
         )
-
-    @property
-    def _segments(self) -> Dict[str, AuditSegment]:
-        """Back-compat view: source → open tail segment.
-
-        Pre-tiering code (and tests) reached into ``spine._segments``;
-        the authoritative layout now lives in :attr:`_store`.  With no
-        spill configured every record is in the tail, so this view is
-        complete; with tiering on it shows only the un-sealed suffix.
-        """
-        return dict(self._store.tails)
 
     # -- emission (the delivery-path side) ---------------------------------
 
@@ -390,8 +377,7 @@ class AuditSpine(RecorderMixin):
         source_context: Optional[SecurityContext] = None,
         target_context: Optional[SecurityContext] = None,
     ) -> AuditRecord:
-        """AuditLog-compatible direct write, staged under
-        :data:`DEFAULT_SOURCE`."""
+        """Direct write, staged under :data:`DEFAULT_SOURCE`."""
         return self.emit(
             DEFAULT_SOURCE, kind, actor, subject, detail,
             source_context, target_context,
@@ -476,7 +462,8 @@ class AuditSpine(RecorderMixin):
             return drained
 
     def flush(self) -> int:
-        """AuditLog-compatible alias for :meth:`drain`."""
+        """Alias for :meth:`drain` (the bus's ``publish_batch`` and the
+        decision plane call ``flush``)."""
         return self.drain()
 
     def attach_clock(self, clock) -> None:
@@ -527,8 +514,8 @@ class AuditSpine(RecorderMixin):
                 heads[source] = self._store.head(source)
                 counts[source] = self._store.total(source)
             # Checkpoints number their own chain: record seqs must track
-            # the event stream exactly (a spine and a plain log fed the
-            # same events stay seq-identical).
+            # the event stream exactly (a spine and the flat reference
+            # chain fed the same events stay seq-identical).
             record = AuditRecord(
                 seq=self._ckpt.total,
                 timestamp=self._clock(),
@@ -573,7 +560,7 @@ class AuditSpine(RecorderMixin):
         """
         return self._ckpt.digest_at(position)
 
-    # -- reading (AuditLog-compatible) -------------------------------------
+    # -- reading ------------------------------------------------------------
 
     def _merged(self) -> List[AuditRecord]:
         # Each source's records are seq-ascending (single-writer
@@ -896,8 +883,8 @@ class AuditSpine(RecorderMixin):
     def prune_before(self, timestamp: float) -> int:
         """Discard records older than ``timestamp`` from every segment.
 
-        Each segment rebases its chain on the last pruned digest
-        (as ``AuditLog.prune_before`` does), and checkpoint records
+        Each segment rebases its chain on the last pruned digest, so
+        the retained suffix still verifies, and checkpoint records
         older than ``timestamp`` are pruned from the checkpoint chain
         the same way.  Returns the number of *records* pruned
         (checkpoints are chain metadata, not stream records).
@@ -966,3 +953,29 @@ class AuditSpine(RecorderMixin):
                 {"record": r.canonical(), "digest": d}
                 for r, d in zip(self._ckpt.records, self._ckpt.digests)
             ]
+
+
+class AuditLog(AuditSpine):
+    """The synchronous spine: ``ring_capacity=1``, so every append is
+    chained before it returns.
+
+    What a standalone :class:`~repro.iot.domain.AdministrativeDomain`
+    (and anything else outside a :class:`~repro.deploy.Deployment`)
+    audits into.  It is an ordinary :class:`AuditSpine` — per-source
+    segments, checkpoints, ``query()``, tiers — that keeps the
+    append-time tamper evidence of a flat hash chain: a record mutated
+    right after append fails :meth:`verify`.
+
+    Example::
+
+        log = AuditLog(clock=sim.now)
+        log.flow_allowed("sensor", "analyser", src_ctx, dst_ctx)
+        assert log.verify()
+    """
+
+    def __init__(
+        self,
+        clock: Optional[Callable[[], float]] = None,
+        name: str = "audit",
+    ):
+        super().__init__(clock=clock, name=name, ring_capacity=1)

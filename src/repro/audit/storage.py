@@ -98,14 +98,13 @@ def _segment_genesis(spine_name: str, source: str) -> str:
 class AuditSegment:
     """One source's open hash-chain tail inside a spine.
 
-    Records are chained exactly as in :class:`~repro.audit.log.AuditLog`
+    Records are chained with :func:`~repro.audit.log.chain_digest`
     (``digest = sha256(prev + canonical)``), but the chain base is
     domain-separated by spine and source name so segments from different
     sources can never be spliced into one another.  ``base_count`` is
     the absolute position of the first retained record — pruning (or
     sealing) a prefix promotes the last covered digest to
-    ``base_digest``, keeping the retained suffix verifiable, exactly
-    like ``AuditLog.prune_before``.
+    ``base_digest``, keeping the retained suffix verifiable.
     """
 
     __slots__ = (

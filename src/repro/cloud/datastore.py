@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.spine import bind_source
 from repro.errors import FlowError, KernelError
 from repro.ifc.decisions import DecisionCache, DecisionPlane
@@ -66,7 +66,7 @@ class LabelledStore:
     def __init__(
         self,
         name: str,
-        audit: Optional[AuditLog] = None,
+        audit: Optional[AuditSink] = None,
         clock: Optional[Callable[[], float]] = None,
         cache: Optional[DecisionCache] = None,
     ):

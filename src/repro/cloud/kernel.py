@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import FlowError, KernelError, PrivilegeError
@@ -123,12 +123,12 @@ class IFCSecurityModule(SecurityModule):
 
     def __init__(
         self,
-        audit: Optional[AuditLog] = None,
+        audit: Optional[AuditSink] = None,
         cache: Optional[DecisionCache] = None,
     ):
         # Audit goes through the machine's spine when one is wired
         # (staged under the "kernel" segment, hashed off the syscall
-        # path); a plain AuditLog keeps synchronous semantics.
+        # path).
         self.audit = bind_source(audit, "kernel")
         # LSM hooks fire once per syscall on the same few (process,
         # object) context pairs — the memoizing plane is what keeps the

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.audit.distributed import AuditCollector
-from repro.audit.log import AuditLog
 from repro.cloud.kernel import Process
 from repro.cloud.machine import Machine, MachineConfig, trusted_verifier
 from repro.crypto.attestation import AttestationVerifier

@@ -20,8 +20,8 @@ sharing the world's simulated clock (so its audit spine drains on clock
 ticks), a substrate registered as the machine's network receiver,
 spine-backed domains (the whole domain stack — bus, channels, policy
 engine, reconfigurator, discovery — writes per-source segments of the
-machine's one tamper-evident chain, via the
-:class:`~repro.audit.sink.AuditSink` contract), mesh membership with
+machine's one tamper-evident chain, via
+:func:`~repro.audit.spine.bind_source`), mesh membership with
 pinboards, and a mesh-attached federation directory that piggybacks
 vocabulary offers on discovery answers.
 
@@ -126,15 +126,14 @@ class DeploymentNode:
         self,
         name: Optional[str] = None,
         mode: Optional[EnforcementMode] = None,
-        spine_backed: bool = True,
     ) -> "DeploymentNode":
         """Give the node an administrative domain (defaults to the
-        node's name).  ``spine_backed`` routes the domain's audit stack
-        into the machine spine — one tamper-evident chain per node."""
+        node's name).  On a node with a machine the domain's whole audit
+        stack writes into the machine spine — one tamper-evident chain
+        per node."""
         spec = self._mutable()
         spec.domain = name or spec.name
         spec.domain_mode = mode
-        spec.spine_backed = spine_backed
         return self
 
     def with_mesh(self) -> "DeploymentNode":
@@ -274,9 +273,9 @@ class DeploymentNode:
             )
         if spec.domain is not None:
             audit = None
-            if spec.machine and spec.spine_backed:
+            if spec.machine:
                 audit = self._machine.audit
-                deployment._spine_backed_domains.add(spec.domain)
+                deployment._machine_domains.add(spec.domain)
             self._domain = world.create_domain(
                 spec.domain, audit=audit, mode=spec.domain_mode
             )
@@ -451,7 +450,9 @@ class Deployment:
         self._verifier: Optional[AttestationVerifier] = None
         self._directory: Optional[ResourceDiscovery] = None
         self._directory_node: Optional[DeploymentNode] = None
-        self._spine_backed_domains: set = set()
+        #: Domains writing into a node's machine spine (verified and
+        #: collected under the hostname, not the domain name).
+        self._machine_domains: set = set()
         self._machines: List[Machine] = []
         self._gateways: List = []
         self._flow_assertions: List = []
@@ -830,8 +831,9 @@ class Deployment:
         on the diagonal, each member's *local* chain verification of
         the history it presents — which is exactly why cross-pinning
         exists: a censored replay passes its own diagonal and fails
-        every peer's row.  Bus-only domains (detached logs) appear on
-        the diagonal under their domain name.
+        every peer's row.  Bus-only domains (each with its own
+        :class:`~repro.audit.spine.AuditLog`) appear on the diagonal
+        under their domain name.
 
         ``mode="incremental"`` (the default) rides the verification
         plane's watermark cursors: each diagonal check re-verifies hot
@@ -858,8 +860,8 @@ class Deployment:
         if self._mesh is not None and self._mesh.nodes():
             matrix.update(self._mesh.verify_federation())
         def diagonal(key: str, ok: bool) -> None:
-            # A key may carry two chains (a machine spine plus a
-            # detached domain log under the same name): the diagonal is
+            # A key may carry two chains (a machine spine plus a bus-only
+            # domain's own log under the same name): the diagonal is
             # "ok" only if every chain presented under it verifies.
             row = matrix.setdefault(key, {})
             if not ok:
@@ -875,7 +877,7 @@ class Deployment:
                 handle.spine.verify(mode=mode, workers=workers),
             )
         for name, domain in self.world.domains.items():
-            if name in self._spine_backed_domains:
+            if name in self._machine_domains:
                 continue
             diagonal(name, domain.audit.verify(mode=mode, workers=workers))
         run_gate = analysis if analysis is not None else bool(
@@ -927,13 +929,11 @@ class Deployment:
             audit["checkpoints"] += spine.stats_checkpoints
             audit["segments"] += len(spine.sources())
             audit["ring_overflows"] += spine.stats_ring_overflows
-            tier_fn = getattr(spine, "tier_stats", None)
-            if callable(tier_fn):
-                tier = tier_fn()
-                audit["hot_records"] += tier["hot_records"]
-                audit["cold_records"] += tier["cold_records"]
-                audit["cold_segments"] += tier["cold_segments"]
-                audit["spill_bytes"] += tier["spill_bytes"]
+            tier = spine.tier_stats()
+            audit["hot_records"] += tier["hot_records"]
+            audit["cold_records"] += tier["cold_records"]
+            audit["cold_segments"] += tier["cold_segments"]
+            audit["spill_bytes"] += tier["spill_bytes"]
 
         federation: Dict[str, object] = {"members": 0}
         if self._mesh is not None:
@@ -973,12 +973,9 @@ class Deployment:
             "checkpoints_skipped": 0, "wall_s": 0.0,
         }
         for machine in machines:
-            stats_fn = getattr(machine.audit, "verify_stats", None)
-            if not callable(stats_fn):
-                continue
-            rollup = stats_fn()
+            rollup = machine.audit.verify_stats()
             for key in verify:
-                verify[key] += rollup.get(key, 0)
+                verify[key] += rollup[key]
         verify["wall_s"] = round(verify["wall_s"], 6)
 
         net = self.world.network.stats
@@ -1010,8 +1007,8 @@ class Deployment:
         }
 
     def collect_audit(self, key: str = "deployment-collector") -> AuditCollector:
-        """Submit every node spine (by hostname) and every detached
-        domain log (by domain name) to a fresh collector.
+        """Submit every node spine (by hostname) and every bus-only
+        domain's own log (by domain name) to a fresh collector.
 
         Tier-aware: submission verifies each spine across its hot/cold
         boundary (cold spill files are replayed against the committed
@@ -1024,7 +1021,7 @@ class Deployment:
             if handle.machine is not None:
                 collector.submit(handle.spec.hostname, handle.machine.audit)
         for name, domain in self.world.domains.items():
-            if name in self._spine_backed_domains:
+            if name in self._machine_domains:
                 continue
             collector.submit(name, domain.audit)
         return collector

@@ -106,10 +106,6 @@ class NodeSpec:
             machine-only nodes, e.g. pure relays or benches).
         domain_mode: enforcement mode override for the domain (defaults
             to the world's mode).
-        spine_backed: when the node has both a machine and a domain,
-            route the domain's whole audit stack into the machine's
-            spine (one tamper-evident chain per node).  Off keeps the
-            historical detached per-domain ``AuditLog``.
         mesh: enrol the node's substrate in the deployment's
             :class:`~repro.federation.GossipMesh`.
         pinboard_retain_every: pin-retention policy for the node's
@@ -144,7 +140,6 @@ class NodeSpec:
     attested: bool = False
     domain: Optional[str] = None
     domain_mode: Optional[EnforcementMode] = None
-    spine_backed: bool = True
     mesh: bool = False
     pinboard_retain_every: Optional[int] = None
     directory: bool = False

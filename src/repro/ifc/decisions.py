@@ -17,7 +17,7 @@ hoc, they all route through a :class:`DecisionPlane` that owns:
 * **evaluation** — memoized in a :class:`DecisionCache` keyed on the
   *label values* of the two contexts (their interned bitset masks);
 * **audit emission** — the plane forwards flow outcomes to its audit
-  log, so buffered/batched audit policy lives in one place.
+  sink, so staged/batched audit policy lives in one place.
 
 Cache-invalidation rule
 -----------------------
@@ -78,7 +78,7 @@ from repro.ifc.interner import TagInterner, global_interner
 from repro.ifc.labels import Label, SecurityContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (audit ↔ ifc)
-    from repro.audit.log import AuditLog
+    from repro.audit.sink import AuditSink
 
 
 @dataclass
@@ -401,7 +401,7 @@ class DecisionPlane:
 
     def __init__(
         self,
-        audit: "Optional[AuditLog]" = None,
+        audit: "Optional[AuditSink]" = None,
         cache: Optional[DecisionCache] = None,
     ):
         self.audit = audit
@@ -458,7 +458,7 @@ class DecisionPlane:
             self.audit.flow_denied(actor, subject, reason, source, target)
 
     def flush(self) -> None:
-        """Flush any buffered audit appends (see ``AuditLog.flush``)."""
+        """Drain any staged audit records (see ``AuditSpine.flush``)."""
         if self.audit is not None:
             self.audit.flush()
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.accesscontrol.pep import EnforcementMode
-from repro.audit.log import AuditLog
-from repro.audit.spine import bind_source
+from repro.audit.sink import AuditSink
+from repro.audit.spine import AuditLog, bind_source
 from repro.errors import DiscoveryError
 from repro.ifc.labels import SecurityContext
 from repro.ifc.privileges import PrivilegeSet
@@ -39,13 +39,13 @@ class AdministrativeDomain:
     reconfigurator → context store → policy engine, all sharing the
     domain clock.  Things register through :meth:`adopt`.
 
-    ``audit`` is any :class:`~repro.audit.sink.AuditSink`.  When omitted
-    the domain constructs a detached :class:`~repro.audit.log.AuditLog`
-    — the historical (pre-``repro.deploy``) behaviour, kept as the thin
-    shim standalone domains rely on.  Inside a deployment the owning
-    machine's :class:`~repro.audit.spine.AuditSpine` is passed instead,
-    so the domain's bus, engine, reconfigurator and discovery all write
-    per-source segments of one tamper-evident chain per node
+    ``audit`` is any :class:`~repro.audit.sink.AuditSink`.  Inside a
+    deployment it is the owning machine's
+    :class:`~repro.audit.spine.AuditSpine`; when omitted (standalone and
+    bus-only domains) the domain builds its own
+    :class:`~repro.audit.spine.AuditLog`, the synchronous spine.
+    Either way the domain's bus, engine, reconfigurator and discovery
+    write per-source segments of one tamper-evident chain
     (``docs/deploy_api.md``).
     """
 
@@ -54,14 +54,14 @@ class AdministrativeDomain:
         name: str,
         clock: Optional[Callable[[], float]] = None,
         mode: EnforcementMode = EnforcementMode.AC_AND_IFC,
-        audit=None,
+        audit: Optional[AuditSink] = None,
     ):
         self.name = name
         if audit is None:
             audit = AuditLog(clock=clock, name=f"audit@{name}")
         # The domain's own records (adoption context changes) go to a
-        # "domain" segment when the sink is segmented; each wired
-        # component below claims its own segment via bind_source.
+        # "domain" segment; each wired component below claims its own
+        # segment via bind_source.
         self.audit = bind_source(audit, "domain")
         self.bus = MessageBus(audit=self.audit, mode=mode, clock=clock)
         self.reconfigurator = Reconfigurator(self.bus, audit=self.audit)

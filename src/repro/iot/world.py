@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 from repro.accesscontrol.pep import EnforcementMode
 from repro.audit.compliance import ComplianceAuditor, ComplianceReport
 from repro.audit.distributed import AuditCollector
-from repro.audit.log import AuditLog
 from repro.errors import DiscoveryError
 from repro.ifc.tags import TagRegistry
 from repro.iot.domain import AdministrativeDomain
@@ -60,7 +59,7 @@ class IoTWorld:
         ``audit`` is an optional :class:`~repro.audit.sink.AuditSink`
         for the domain's whole stack (a machine spine, inside a
         :class:`~repro.deploy.Deployment`); omitted, the domain builds
-        its own detached :class:`~repro.audit.log.AuditLog`.  ``mode``
+        its own :class:`~repro.audit.spine.AuditLog`.  ``mode``
         overrides the world's enforcement mode for this domain.
         """
         if name in self.domains:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.accesscontrol.pep import EnforcementMode
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import AccessDenied, DiscoveryError, FlowError, SchemaError
@@ -121,19 +121,18 @@ class MessageBus:
 
     def __init__(
         self,
-        audit: Optional[AuditLog] = None,
+        audit: Optional[AuditSink] = None,
         mode: EnforcementMode = EnforcementMode.AC_AND_IFC,
         authoriser: ConnectAuthoriser = default_authoriser,
         clock: Optional[Callable[[], float]] = None,
         shard: Optional[DecisionShard] = None,
         audit_source: str = "bus",
     ):
-        # Given an AuditSpine (or an emitter onto one), deliveries stage
-        # records under the `audit_source` segment and chaining happens
-        # off the delivery path; a plain AuditLog keeps synchronous
-        # semantics.  Worker pools give each per-worker bus its own
-        # source ("bus.w0", "bus.w1", ...) so emission stays
-        # contention-free — one writer per staging ring.
+        # Deliveries stage records under the `audit_source` segment of
+        # the spine; chaining happens at the spine's drain (at once for
+        # an AuditLog, whose ring holds one record).  Worker pools give
+        # each per-worker bus its own source ("bus.w0", "bus.w1", ...)
+        # so emission stays contention-free — one writer per ring.
         self.audit = bind_source(audit, audit_source)
         self.mode = mode
         self.authoriser = authoriser
@@ -307,7 +306,7 @@ class MessageBus:
         """Publish many messages from one endpoint, amortising the per-
         message costs: flow decisions for repeated (message, sink)
         context pairs hit the decision cache, and audit appends are
-        chain-hashed in one chunk at the end (see ``AuditLog.flush``).
+        chain-hashed in one chunk at the end (see ``AuditSpine.flush``).
 
         Beyond audit batching, the per-message fixed costs are hoisted
         into a :class:`_BatchPlan` built once per (sender, sink-set):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional
 
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import FlowError, SchemaError
@@ -62,7 +62,7 @@ class Channel:
         source_endpoint: Endpoint,
         sink: Component,
         sink_endpoint: Endpoint,
-        audit: Optional[AuditLog] = None,
+        audit: Optional[AuditSink] = None,
         plane: Optional[DecisionPlane] = None,
     ):
         self.channel_id = next(_channel_counter)

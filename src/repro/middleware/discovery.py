@@ -73,7 +73,7 @@ class DiscoveryStats:
 class ResourceDiscovery:
     """The RDC: register, deregister, query.
 
-    ``audit`` (an :class:`~repro.audit.log.AuditLog`, spine or emitter)
+    ``audit`` (an :class:`~repro.audit.sink.AuditSink`: spine or emitter)
     records registration-plane events — in particular re-registrations,
     which overwrite what other parties may already have resolved.
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import (
@@ -106,7 +106,7 @@ class Reconfigurator:
     def __init__(
         self,
         bus: MessageBus,
-        audit: Optional[AuditLog] = None,
+        audit: Optional[AuditSink] = None,
         privilege_authority: Optional[PrivilegeAuthority] = None,
     ):
         self.bus = bus

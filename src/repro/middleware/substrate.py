@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.audit.log import AuditLog
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.cloud.kernel import Process

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.audit.log import AuditLog
+from repro.audit.sink import AuditSink
 from repro.audit.records import RecordKind
 from repro.audit.spine import bind_source
 from repro.errors import AuthorityError, PolicyError
@@ -73,7 +73,7 @@ class PolicyEngine:
         name: str,
         reconfigurator: Reconfigurator,
         context: Optional[ContextStore] = None,
-        audit: Optional[AuditLog] = None,
+        audit: Optional[AuditSink] = None,
         strategy: ResolutionStrategy = ResolutionStrategy.PRIORITY,
         authority: Optional[AuthorityModel] = None,
     ):

@@ -67,10 +67,7 @@ def enforce_retention(
     cutoff = now - max_age_seconds
     if destroy:
         return sink.prune_before(cutoff)
-    demote = getattr(sink, "demote_before", None)
-    if callable(demote):
-        return demote(cutoff)
-    return 0
+    return sink.demote_before(cutoff)
 
 
 @dataclass
@@ -253,39 +250,37 @@ def retention_obligation(
     a spill tier configured) the checker bounds the **hot** tier's time
     span — cold, demoted records satisfy the retention limit while
     remaining chained, verifiable and queryable, so legal retention no
-    longer fights auditability.  Over a flat log (no cold tier) the
-    whole retained span is bounded, operationally paired with
-    :func:`enforce_retention` runs — which the obligation also carries
-    as a remedy: demote-to-cold by default, destructive
+    longer fights auditability.  Over an untiered sink (no spill
+    configured) the whole retained span is bounded, operationally
+    paired with :func:`enforce_retention` runs — which the obligation
+    also carries as a remedy: demote-to-cold by default, destructive
     :meth:`prune_before` only with the explicit ``destroy=True``
     opt-in.
     """
 
     def check(log: AuditSink, graph: ProvenanceGraph) -> Finding:
-        tier_stats = getattr(log, "tier_stats", None)
-        if callable(tier_stats):
-            stats = tier_stats()
-            if stats.get("spill_dir"):
-                # Tiered sink: only the hot tier is held to the limit.
-                oldest, newest = stats["hot_time_min"], stats["hot_time_max"]
-                if oldest is None:
-                    return Finding(
-                        "retention limit", True, [], "no hot records retained"
-                    )
-                age = newest - oldest
-                ok = age <= max_age_seconds
+        stats = log.tier_stats()
+        if stats["spill_dir"]:
+            # Tiered sink: only the hot tier is held to the limit.
+            oldest, newest = stats["hot_time_min"], stats["hot_time_max"]
+            if oldest is None:
                 return Finding(
-                    obligation="retention limit",
-                    satisfied=ok,
-                    evidence=[],
-                    explanation=(
-                        f"hot span {age:.0f}s within {max_age_seconds:.0f}s "
-                        f"({stats['cold_records']} records archived cold)"
-                        if ok
-                        else f"hot records span {age:.0f}s, exceeding "
-                        f"{max_age_seconds:.0f}s — demote to cold required"
-                    ),
+                    "retention limit", True, [], "no hot records retained"
                 )
+            age = newest - oldest
+            ok = age <= max_age_seconds
+            return Finding(
+                obligation="retention limit",
+                satisfied=ok,
+                evidence=[],
+                explanation=(
+                    f"hot span {age:.0f}s within {max_age_seconds:.0f}s "
+                    f"({stats['cold_records']} records archived cold)"
+                    if ok
+                    else f"hot records span {age:.0f}s, exceeding "
+                    f"{max_age_seconds:.0f}s — demote to cold required"
+                ),
+            )
         records = list(log)
         if not records:
             return Finding("retention limit", True, [], "no records retained")

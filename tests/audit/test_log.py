@@ -129,7 +129,7 @@ class TestPruneAndExport:
         audit.flow_allowed("c", "d")
         exported = audit.export()
         assert len(exported) == 2
-        assert exported[1]["digest"] == audit.head_digest
+        assert exported[1]["digest"] == audit.segment_heads()["main"][1]
 
 
 class TestCanonicalEncoding:

@@ -1,6 +1,6 @@
-"""The audit-query plane: AuditQuery over tiered spines and flat logs,
-index-probe accounting, and the tiered ≡ flat equivalence property
-(see docs/audit_storage.md)."""
+"""The audit-query plane: AuditQuery over tiered and untiered spines,
+index-probe accounting, and the tiered ≡ flat-filter equivalence
+property (see docs/audit_storage.md)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,16 +91,6 @@ class TestAuditQueryOverTiers:
         spine.emit("bus", RecordKind.FLOW_ALLOWED, "late", "dev", {}, CTX)
         q = AuditQuery(spine)
         assert [r.actor for r in q.by_actor("late")] == ["late"]
-
-    def test_flat_log_fallback(self):
-        sim = Simulator()
-        log = AuditLog(clock=sim.now)
-        log.flow_allowed("a", "b", CTX, CTX)
-        log.flow_denied("a", "c", "no", CTX, CTX)
-        q = AuditQuery(log)
-        assert len(q.by_kind(RecordKind.FLOW_DENIED)) == 1
-        assert q.last_stats.records_scanned == 2
-        assert q.by_entity("b")[0].subject == "b"
 
     def test_by_tag_accepts_tag_objects(self, tmp_path):
         sim, spine = make_spine(tmp_path)

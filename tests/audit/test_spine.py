@@ -5,12 +5,12 @@ import pytest
 
 from repro.audit import (
     AuditCollector,
-    AuditLog,
     AuditSpine,
     RecordKind,
     SpineEmitter,
     bind_source,
 )
+from repro.audit.log import ReferenceChain
 from repro.errors import IntegrityViolation
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
@@ -234,9 +234,9 @@ class TestBindSource:
         assert channel.source == "channel"
         assert channel.spine is spine
 
-    def test_plain_log_passes_through(self):
-        log = AuditLog()
-        assert bind_source(log, "bus") is log
+    def test_reference_chain_passes_through(self):
+        chain = ReferenceChain()
+        assert bind_source(chain, "bus") is chain
 
     def test_emitter_is_submittable_as_a_segmented_log(self):
         """An enforcement site's emitter hands the collector the full
@@ -278,14 +278,14 @@ class TestBindSource:
 
 
 class TestSpineEquivalence:
-    """A spine and a plain unbuffered log fed the same events tell the
+    """A spine and the flat reference chain fed the same events tell the
     same story (the hypothesis test in test_spine_properties.py
     generalises this)."""
 
     def test_record_streams_match(self):
         sim = Simulator()
         spine = AuditSpine(clock=sim.now)
-        log = AuditLog(clock=sim.now)
+        log = ReferenceChain(clock=sim.now)
         sources = ["bus", "kernel", "pep:gate"]
         for i in range(12):
             source = sources[i % 3]

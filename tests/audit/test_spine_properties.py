@@ -1,11 +1,13 @@
-"""Property: a segmented/deferred spine and a plain unbuffered AuditLog
-fed the same event stream are order-equivalent and verify-clean under any
-interleaving of append / drain / verify / prune operations."""
+"""Property: a segmented/deferred spine and the flat synchronous
+reference chain fed the same event stream are order-equivalent and
+verify-clean under any interleaving of append / drain / verify / prune
+operations."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit import AuditLog, AuditSpine, RecordKind
+from repro.audit import AuditSpine, RecordKind
+from repro.audit.log import ReferenceChain
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
 
@@ -47,10 +49,10 @@ def view(store):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(ops, min_size=1, max_size=40))
-def test_spine_matches_plain_log_under_interleaving(script):
+def test_spine_matches_reference_chain_under_interleaving(script):
     sim = Simulator()
     spine = AuditSpine(clock=sim.now, ring_capacity=8, checkpoint_every=2)
-    log = AuditLog(clock=sim.now)  # unbuffered: the reference semantics
+    log = ReferenceChain(clock=sim.now)  # flat and synchronous
 
     for op in script:
         if op[0] == "append":

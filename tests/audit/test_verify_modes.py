@@ -29,7 +29,6 @@ from repro.audit import (
     RecordKind,
     VerifyStats,
 )
-from repro.audit.log import AuditLog
 from repro.errors import IntegrityViolation
 from repro.ifc import SecurityContext
 from repro.sim import Simulator
@@ -173,10 +172,6 @@ class TestWatermarkCursors:
         __, spine = make_spine()
         with pytest.raises(ValueError):
             spine.verify(mode="shallow")
-        log = AuditLog(name="flat")
-        with pytest.raises(ValueError):
-            log.verify(mode="shallow")
-        assert log.verify(mode="incremental")  # accepted, full recompute
 
 
 TAMPERS = {
@@ -306,16 +301,6 @@ class TestConsumers:
         TAMPERS["record_slot"](sorted(tmp_path.glob("*.seg"))[0])
         assert collector.submit("alpha", spine) is None
         assert "alpha" in collector.rejected_domains
-
-    def test_collector_falls_back_for_plain_verify_sinks(self):
-        class LegacySink(AuditLog):
-            def verify(self):  # pre-verification-plane signature
-                return super().verify()
-
-        log = LegacySink(name="legacy")
-        log.flow_allowed("a", "b", CTX, CTX)
-        collector = AuditCollector()
-        assert collector.submit("legacy", log) is not None
 
     def test_pinboard_local_check_catches_cold_tamper(self, tmp_path):
         # Pin comparison alone only sees the (in-memory) checkpoint

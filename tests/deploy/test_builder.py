@@ -3,6 +3,7 @@
 import pytest
 
 from repro.audit import AuditLog, AuditSink, AuditSpine, SpineEmitter
+from repro.audit.log import ReferenceChain
 from repro.deploy import Deployment, DeploymentSpec, NodeSpec
 from repro.errors import DiscoveryError
 from repro.ifc import SecurityContext
@@ -22,12 +23,13 @@ def two_node_mesh(seed=3, retain_every=None):
     return deploy, alpha, beta
 
 
-class TestAuditSinkProtocol:
-    def test_every_audit_writer_satisfies_the_sink_protocol(self):
+class TestAuditSink:
+    def test_every_audit_writer_is_an_audit_sink(self):
         spine = AuditSpine()
         assert isinstance(AuditLog(), AuditSink)
         assert isinstance(spine, AuditSink)
         assert isinstance(spine.emitter("bus"), AuditSink)
+        assert not isinstance(ReferenceChain(), AuditSink)
 
     def test_emitter_exposes_spine_identity(self):
         spine = AuditSpine(name="audit@host")
@@ -52,16 +54,19 @@ class TestNodeWiring:
         node.domain.audit.flow_allowed("a", "b", CTX, CTX)
         assert node.machine.audit.records()[-1].timestamp == 30.0
 
-    def test_detached_domain_keeps_the_old_audit_log_shim(self):
+    def test_machineless_domain_writes_its_own_audit_log(self):
         deploy = Deployment(seed=1)
-        node = deploy.node("n1").with_domain(spine_backed=False)
-        assert isinstance(node.domain.audit, AuditLog)
-        assert node.domain.audit is not node.machine.audit
+        relay = deploy.node("relay", machine=False)
+        host = deploy.node("host").with_domain()
+        assert isinstance(relay.domain.audit.spine, AuditLog)
+        assert relay.domain.bus.audit.spine is relay.domain.audit.spine
+        assert relay.domain.audit.spine is not host.machine.audit
+        assert host.domain.audit.spine is host.machine.audit
 
     def test_bus_only_domain_helper(self):
         deploy = Deployment(seed=1)
         domain = deploy.domain("hospital")
-        assert isinstance(domain.audit, AuditLog)
+        assert isinstance(domain.audit.spine, AuditLog)
         assert deploy.domain("hospital") is domain  # get-or-create
         assert "hospital" in deploy.world.domains
 
@@ -98,17 +103,23 @@ class TestNodeWiring:
         assert node.machine is None and node.substrate is None
         assert node.domain.name == "relay"  # a spec must build something
 
-    def test_verify_diagonal_covers_both_chains_under_one_name(self):
-        # hostname and detached-domain name collide ('x'): the diagonal
-        # must fail if EITHER chain fails.
+    @pytest.mark.parametrize("victim", ["machine", "domain"])
+    def test_verify_diagonal_covers_both_chains_under_one_name(self, victim):
+        # A node's hostname and a bus-only domain's name collide ('x'):
+        # the diagonal must fail if EITHER chain fails.
         deploy = Deployment(seed=1)
-        node = deploy.node("x").with_domain(spine_backed=False)
+        node = deploy.node("x")
+        domain = deploy.domain("x")
         node.machine.audit.flow_allowed("a", "b", CTX, CTX)
-        node.machine.audit.drain()
-        record = node.machine.audit.records()[0]
-        object.__setattr__(record, "actor", "evil")
-        assert not node.machine.audit.verify()
-        assert node.domain.audit.verify()
+        domain.audit.flow_allowed("c", "d", CTX, CTX)
+        assert deploy.verify()["x"]["x"] == "ok"
+        tampered, intact = node.machine.audit, domain.audit
+        if victim == "domain":
+            tampered, intact = intact, tampered
+        tampered.flush()
+        object.__setattr__(tampered.records()[0], "actor", "evil")
+        assert not tampered.verify()
+        assert intact.verify()
         assert deploy.verify()["x"]["x"] == "tampered"
 
     def test_bare_directory_read_is_adopted_by_first_discovery_node(self):

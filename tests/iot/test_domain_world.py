@@ -3,6 +3,7 @@
 import pytest
 
 from repro.accesscontrol import EnforcementMode
+from repro.audit import AuditCollector, AuditLog, AuditSpine, RecordKind
 from repro.errors import DiscoveryError
 from repro.ifc import SecurityContext
 from repro.iot import (
@@ -15,6 +16,7 @@ from repro.iot import (
     vital_signs,
 )
 from repro.middleware import Message
+from repro.policy import Event, NotifyAction, Rule
 
 
 class TestDomain:
@@ -59,6 +61,59 @@ class TestDomain:
         thing.remove_secrecy("s")
         declass = domain.audit.records(kind=RecordKind.DECLASSIFICATION)
         assert declass and declass[0].actor == "t"
+
+
+class TestStandaloneDomainAudit:
+    """A domain built outside a deployment audits into its own
+    AuditLog: the synchronous spine, one segment per wired component."""
+
+    def _busy_domain(self, world):
+        domain = world.create_domain("home")
+        a = Sensor("a", source=lambda t: 1.0, interval=10.0, owner="op")
+        b = App("b", owner="op")
+        domain.adopt(a)
+        domain.adopt(b)
+        domain.bus.connect("op", a, "out", b, "in")
+        domain.engine.add_rule(
+            Rule.build("r", "*", actions=[NotifyAction("x")])
+        )
+        domain.engine.handle_event(Event("ev"))
+        return domain
+
+    def test_audit_is_a_synchronous_spine_with_per_source_segments(
+        self, world
+    ):
+        domain = self._busy_domain(world)
+        spine = domain.audit.spine
+        assert isinstance(spine, AuditLog) and isinstance(spine, AuditSpine)
+        assert spine.pending == 0  # every append chained on the spot
+        heads = spine.segment_heads()
+        engine_source = f"policy:{domain.engine.name}"
+        assert {"bus", engine_source} <= heads.keys()
+        bus_records = spine.records(kind=RecordKind.CHANNEL_ESTABLISHED)
+        fired = spine.records(kind=RecordKind.POLICY_FIRED)
+        assert bus_records and fired
+        assert spine.verify()
+
+    @pytest.mark.parametrize("mode", ["incremental", "deep"])
+    def test_mutation_right_after_append_flips_verify(self, world, mode):
+        domain = self._busy_domain(world)
+        assert domain.audit.verify(mode=mode)
+        record = domain.bus.audit.flow_allowed("a", "b")
+        object.__setattr__(record, "actor", "mallory")
+        assert not domain.audit.verify(mode=mode)
+
+    def test_collector_receipt_covers_segment_heads(self, world):
+        domain = self._busy_domain(world)
+        collector = AuditCollector(key="k")
+        receipt = collector.submit("home", domain.audit)
+        assert receipt is not None and receipt.verify("k")
+        heads = domain.audit.segment_heads()
+        assert dict(receipt.segment_heads) == {
+            source: head for source, (__, head) in heads.items()
+        }
+        assert receipt.head_digest == domain.audit.head_digest
+        assert receipt.record_count == len(domain.audit)
 
 
 class TestDomainGateway:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.audit.log import AuditLog
+from repro.audit import AuditLog
 from repro.audit.records import RecordKind
 from repro.errors import DiscoveryError
 from repro.ifc import SecurityContext

@@ -1,6 +1,6 @@
 """Batched publish: amortised fan-out must keep per-message enforcement."""
 
-from repro.audit.log import AuditLog
+from repro.audit import AuditLog, AuditSpine
 from repro.ifc import PrivilegeSet, SecurityContext
 from repro.middleware.bus import MessageBus
 from repro.middleware.component import Component, EndpointKind
@@ -29,7 +29,7 @@ def _wire(bus, ctx, n_sinks=2):
 class TestPublishBatch:
     def test_batch_matches_repeated_publish(self):
         ctx = SecurityContext.of(["medical"], [])
-        audit_a, audit_b = AuditLog(), AuditLog(buffer_size=64)
+        audit_a, audit_b = AuditLog(), AuditSpine()
         bus_a, bus_b = MessageBus(audit=audit_a), MessageBus(audit=audit_b)
         sensor_a, sinks_a = _wire(bus_a, ctx)
         sensor_b, sinks_b = _wire(bus_b, ctx)
@@ -54,7 +54,7 @@ class TestPublishBatch:
         """A handler that raises the sender's secrecy mid-batch suspends
         the channels; the rest of the batch must not be delivered."""
         ctx = SecurityContext.public()
-        bus = MessageBus(audit=AuditLog(buffer_size=64))
+        bus = MessageBus(audit=AuditSpine())
         sensor, sinks = _wire(bus, ctx)
 
         seen = []
